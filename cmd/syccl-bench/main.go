@@ -162,7 +162,7 @@ func main() {
 	}
 	// One engine across every experiment: repeated topologies and demand
 	// shapes inside a sweep hit its caches instead of re-solving.
-	cfg.Engine = engine.New(engine.Options{Obs: cfg.Obs})
+	cfg.Engine = engine.New(engine.Options{})
 	targets := ids
 	if *run != "all" {
 		if _, ok := all[*run]; !ok {

@@ -69,7 +69,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		eng := engine.New(engine.Options{Obs: rec})
+		eng := engine.New(engine.Options{})
 		copts := core.Options{
 			E1: opts.E1, E2: opts.E2, Workers: opts.Workers, Seed: opts.Seed,
 			SolverMode: mode, Obs: rec,

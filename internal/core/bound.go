@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"syccl/internal/collective"
+	"syccl/internal/isomorph"
 	"syccl/internal/obs"
 	"syccl/internal/sketch"
 	"syccl/internal/solve"
@@ -48,6 +49,23 @@ import (
 // cache. The bound depends only on the demand (isomorph keys embed α, β,
 // and the piece structure), so the signature is a formulation tag.
 const boundSig = "sec1"
+
+// boundMemo is the BoundCache of a run without a cross-request one.
+// Symmetric cells (one per server, say) carry literally identical
+// demands, so without it every candidate re-solves the same flow LP once
+// per copy. Keys match the engine's bound cache, so a memoized run
+// prunes exactly as an engine-backed one does. Not safe for concurrent
+// use: pruneByBound computes bounds sequentially.
+type boundMemo map[string]float64
+
+func (m boundMemo) Lookup(d *solve.Demand, sig string) (float64, bool) {
+	v, ok := m[isomorph.ExactKey(d)+"|"+sig]
+	return v, ok
+}
+
+func (m boundMemo) Store(d *solve.Demand, sig string, bound float64) {
+	m[isomorph.ExactKey(d)+"|"+sig] = bound
+}
 
 // demandTimeBound returns the cached-or-computed seconds lower bound for
 // one cell demand, or 0 when unavailable (cancelled LP).
@@ -150,6 +168,9 @@ func pruneByBound(ctx context.Context, top *topology.Topology, col *collective.C
 
 	bs := parent.Child("solve.bound")
 	defer bs.End()
+	if opts.BoundCache == nil {
+		opts.BoundCache = boundMemo{}
+	}
 	incumbent := keep[0]
 	incLB := candidateTimeBound(ctx, top, col, incumbent.combo, opts)
 	if incLB > 0 {

@@ -33,11 +33,6 @@ type Options struct {
 	// many goroutines (default GOMAXPROCS). Results are deterministic
 	// for any value.
 	Workers int
-	// MILPWorkers is the branch-and-bound worker count inside each exact
-	// sub-demand solve (default 1; deterministic across counts). Total
-	// solver parallelism is Workers×MILPWorkers, so raise this only when
-	// few candidates dominate the run.
-	MILPWorkers int
 	// MaxCombos caps the candidate combinations evaluated (default 12).
 	MaxCombos int
 	// Search configures sketch exploration (pruning toggles, stage

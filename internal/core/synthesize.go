@@ -588,7 +588,6 @@ func realizeAll(ctx context.Context, top *topology.Topology, col *collective.Col
 		Engine:           engine,
 		TimeLimit:        opts.SolveTimeLimit,
 		Seed:             opts.Seed,
-		MILPWorkers:      opts.MILPWorkers,
 		DisableFlowBound: noFlow,
 	}
 

@@ -21,7 +21,6 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"hash/fnv"
 	"sync"
@@ -30,6 +29,7 @@ import (
 	"syccl/internal/collective"
 	"syccl/internal/core"
 	"syccl/internal/isomorph"
+	"syccl/internal/lru"
 	"syccl/internal/obs"
 	"syccl/internal/sketch"
 	"syccl/internal/solve"
@@ -60,11 +60,6 @@ type Options struct {
 	// synthesized plans bit-identically with zero solver calls. Nil
 	// disables the tier.
 	Persist PersistTier
-	// Obs optionally receives the engine counters: engine.plans,
-	// engine.cancelled, engine.cache.{hits,misses,evictions},
-	// engine.sketch.{hits,misses}. Nil disables recording; Stats() is
-	// always available.
-	Obs *obs.Recorder
 	// Metrics optionally receives labeled production metrics
 	// (syccl_engine_plans_total{outcome},
 	// syccl_engine_cache_lookups_total{cache,result},
@@ -155,11 +150,17 @@ type Stats struct {
 // concurrent Plan calls over arbitrary topologies and collectives; its
 // caches are shared across all of them.
 type Engine struct {
-	opts     Options
-	sketches sketchLRU
-	shards   []solveShard
-	bounds   boundLRU
-	mask     uint32
+	opts   Options
+	shards []solveShard
+	mask   uint32
+
+	// boundMu guards bounds and its iso index boundIso; sketchMu guards
+	// sketches.
+	boundMu  sync.Mutex
+	bounds   *lru.Cache[string, *boundEntry]
+	boundIso map[string]*boundEntry
+	sketchMu sync.Mutex
+	sketches *lru.Cache[string, []*sketch.Sketch]
 
 	plans         atomic.Int64
 	cancelled     atomic.Int64
@@ -210,12 +211,23 @@ func New(opts Options) *Engine {
 		opts: opts,
 		mask: uint32(shards - 1),
 	}
-	e.sketches.init(opts.SketchCacheEntries)
 	e.shards = make([]solveShard, shards)
 	for i := range e.shards {
-		e.shards[i].init(perShard)
+		s := &e.shards[i]
+		s.byIso = make(map[string][]*solveEntry)
+		s.lru = lru.New(perShard, func(_ string, victim *solveEntry) {
+			s.unindex(victim)
+			e.evicted(e.mEvictSolve)
+		})
 	}
-	e.bounds.init(opts.BoundCacheEntries)
+	e.boundIso = make(map[string]*boundEntry)
+	e.bounds = lru.New(opts.BoundCacheEntries, func(_ string, victim *boundEntry) {
+		e.unindexBound(victim)
+		e.evicted(e.mEvictBound)
+	})
+	e.sketches = lru.New(opts.SketchCacheEntries, func(string, []*sketch.Sketch) {
+		e.evicted(e.mEvictSketch)
+	})
 	// A nil registry hands out nil vectors and nil children, so every
 	// metric update below stays a no-op when telemetry is off.
 	plans := opts.Metrics.Counter("syccl_engine_plans_total",
@@ -274,14 +286,12 @@ func (e *Engine) Plan(ctx context.Context, top *topology.Topology, col *collecti
 		ctx = context.Background()
 	}
 	e.plans.Add(1)
-	e.count("engine.plans", 1)
 	opts.SolveCache = solveCacheAdapter{e}
 	opts.SketchCache = sketchCacheAdapter{e}
 	opts.BoundCache = boundCacheAdapter{e}
 	res, err := core.SynthesizeContext(ctx, top, col, opts)
 	if (err != nil && ctx.Err() != nil) || (res != nil && res.Partial) {
 		e.cancelled.Add(1)
-		e.count("engine.cancelled", 1)
 	}
 	if res != nil {
 		if pruned := int64(res.Stats.PrunedLB); pruned > 0 {
@@ -331,44 +341,53 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-func (e *Engine) count(name string, delta float64) {
-	if e.opts.Obs != nil {
-		e.opts.Obs.Count(name, delta)
-	}
-}
-
 // --- sub-schedule cache ---
 
-// solveEntry is one cached per-demand solution. The demand clone is kept
-// for the iso-fallback path, which needs the concrete piece sets to find
-// a mapping onto the queried demand.
+// solveEntry is one cached per-demand solution, stored in its shard's
+// LRU under the exact key. The demand clone is kept for the iso-fallback
+// path, which needs the concrete piece sets to find a mapping onto the
+// queried demand.
 type solveEntry struct {
 	exactKey string
 	isoKey   string
 	demand   *solve.Demand
 	sub      *solve.SubSchedule
-	elem     *list.Element
 }
 
+// solveShard is one lock stripe of the sub-schedule cache; byIso indexes
+// the LRU's entries by isomorphism class.
 type solveShard struct {
-	mu      sync.Mutex
-	byExact map[string]*solveEntry
-	byIso   map[string][]*solveEntry
-	lru     *list.List // front = most recently used
-	cap     int
+	mu    sync.Mutex
+	lru   *lru.Cache[string, *solveEntry]
+	byIso map[string][]*solveEntry
 }
 
-func (s *solveShard) init(cap int) {
-	s.byExact = make(map[string]*solveEntry)
-	s.byIso = make(map[string][]*solveEntry)
-	s.lru = list.New()
-	s.cap = cap
+// unindex drops an entry that left the LRU from the iso index.
+func (s *solveShard) unindex(victim *solveEntry) {
+	bucket := s.byIso[victim.isoKey]
+	for i, v := range bucket {
+		if v == victim {
+			bucket = append(bucket[:i], bucket[i+1:]...)
+			break
+		}
+	}
+	if len(bucket) == 0 {
+		delete(s.byIso, victim.isoKey)
+	} else {
+		s.byIso[victim.isoKey] = bucket
+	}
 }
 
 func hashKey(k string) uint32 {
 	h := fnv.New32a()
 	h.Write([]byte(k))
 	return h.Sum32()
+}
+
+// evicted counts one LRU eviction from the cache whose metric child is c.
+func (e *Engine) evicted(c *obs.Counter) {
+	e.evictions.Add(1)
+	c.Inc()
 }
 
 // solveCacheAdapter implements core.SolveCache on the engine.
@@ -386,7 +405,6 @@ func (a solveCacheAdapter) Lookup(d *solve.Demand, sig string) *solve.SubSchedul
 	if e.opts.Persist != nil {
 		if sub := e.opts.Persist.Load(d, sig); sub != nil {
 			e.persistHits.Add(1)
-			e.count("engine.persist.hits", 1)
 			e.mPersistHit.Inc()
 			// Promote into the memory tier. No write-back: the bytes just
 			// came from disk (or from an iso sibling already on disk).
@@ -394,11 +412,9 @@ func (a solveCacheAdapter) Lookup(d *solve.Demand, sig string) *solve.SubSchedul
 			return sub
 		}
 		e.persistMisses.Add(1)
-		e.count("engine.persist.misses", 1)
 		e.mPersistMiss.Inc()
 	}
 	e.solveMisses.Add(1)
-	e.count("engine.cache.misses", 1)
 	e.mSolveMiss.Inc()
 	return nil
 }
@@ -410,20 +426,17 @@ func (e *Engine) memLookup(d *solve.Demand, exact, iso string) *solve.SubSchedul
 	s := &e.shards[hashKey(iso)&e.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ent, ok := s.byExact[exact]; ok {
-		s.lru.MoveToFront(ent.elem)
+	if ent, ok := s.lru.Get(exact); ok {
 		e.solveHits.Add(1)
 		e.exactHits.Add(1)
-		e.count("engine.cache.hits", 1)
 		e.mSolveExact.Inc()
 		return cloneSub(ent.sub)
 	}
 	for _, ent := range s.byIso[iso] {
 		if m := isomorph.FindFullMapping(ent.demand, d); m != nil {
-			s.lru.MoveToFront(ent.elem)
+			s.lru.Get(ent.exactKey)
 			e.solveHits.Add(1)
 			e.isoHits.Add(1)
-			e.count("engine.cache.hits", 1)
 			e.mSolveIso.Inc()
 			// MapSchedule allocates a fresh sub-schedule; no extra clone.
 			return isomorph.MapSchedule(ent.sub, *m)
@@ -456,40 +469,11 @@ func (e *Engine) memInsert(d *solve.Demand, exact, iso string, sub *solve.SubSch
 	s := &e.shards[hashKey(iso)&e.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ent, ok := s.byExact[exact]; ok {
-		s.lru.MoveToFront(ent.elem)
+	ent := &solveEntry{exactKey: exact, isoKey: iso, demand: cloneDemand(d), sub: cloneSub(sub)}
+	if !s.lru.Add(exact, ent) {
 		return false
 	}
-	ent := &solveEntry{
-		exactKey: exact,
-		isoKey:   iso,
-		demand:   cloneDemand(d),
-		sub:      cloneSub(sub),
-	}
-	ent.elem = s.lru.PushFront(ent)
-	s.byExact[exact] = ent
 	s.byIso[iso] = append(s.byIso[iso], ent)
-	for s.lru.Len() > s.cap {
-		back := s.lru.Back()
-		victim := back.Value.(*solveEntry)
-		s.lru.Remove(back)
-		delete(s.byExact, victim.exactKey)
-		bucket := s.byIso[victim.isoKey]
-		for i, v := range bucket {
-			if v == victim {
-				bucket = append(bucket[:i], bucket[i+1:]...)
-				break
-			}
-		}
-		if len(bucket) == 0 {
-			delete(s.byIso, victim.isoKey)
-		} else {
-			s.byIso[victim.isoKey] = bucket
-		}
-		e.evictions.Add(1)
-		e.count("engine.cache.evictions", 1)
-		e.mEvictSolve.Inc()
-	}
 	return true
 }
 
@@ -521,22 +505,14 @@ type boundEntry struct {
 	exactKey string
 	isoKey   string
 	bound    float64
-	elem     *list.Element
 }
 
-type boundLRU struct {
-	mu      sync.Mutex
-	byExact map[string]*boundEntry
-	byIso   map[string]*boundEntry
-	lru     *list.List
-	cap     int
-}
-
-func (c *boundLRU) init(cap int) {
-	c.byExact = make(map[string]*boundEntry)
-	c.byIso = make(map[string]*boundEntry)
-	c.lru = list.New()
-	c.cap = cap
+// unindexBound drops an entry that left the bound LRU from the iso
+// index. Called with boundMu held.
+func (e *Engine) unindexBound(victim *boundEntry) {
+	if e.boundIso[victim.isoKey] == victim {
+		delete(e.boundIso, victim.isoKey)
+	}
 }
 
 // boundCacheAdapter implements core.BoundCache on the engine.
@@ -546,25 +522,20 @@ func (a boundCacheAdapter) Lookup(d *solve.Demand, sig string) (float64, bool) {
 	e := a.e
 	exact := isomorph.ExactKey(d) + "|" + sig
 	iso := isomorph.Key(d) + "|" + sig
-	c := &e.bounds
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ent, ok := c.byExact[exact]; ok {
-		c.lru.MoveToFront(ent.elem)
+	e.boundMu.Lock()
+	defer e.boundMu.Unlock()
+	if ent, ok := e.bounds.Get(exact); ok {
 		e.boundHits.Add(1)
-		e.count("engine.bound.hits", 1)
 		e.mBoundExact.Inc()
 		return ent.bound, true
 	}
-	if ent, ok := c.byIso[iso]; ok {
-		c.lru.MoveToFront(ent.elem)
+	if ent, ok := e.boundIso[iso]; ok {
+		e.bounds.Get(ent.exactKey)
 		e.boundHits.Add(1)
-		e.count("engine.bound.hits", 1)
 		e.mBoundIso.Inc()
 		return ent.bound, true
 	}
 	e.boundMisses.Add(1)
-	e.count("engine.bound.misses", 1)
 	e.mBoundMiss.Inc()
 	return 0, false
 }
@@ -573,98 +544,43 @@ func (a boundCacheAdapter) Store(d *solve.Demand, sig string, bound float64) {
 	e := a.e
 	exact := isomorph.ExactKey(d) + "|" + sig
 	iso := isomorph.Key(d) + "|" + sig
-	c := &e.bounds
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ent, ok := c.byExact[exact]; ok {
-		// First write wins, as in the solve cache.
-		c.lru.MoveToFront(ent.elem)
+	e.boundMu.Lock()
+	defer e.boundMu.Unlock()
+	ent := &boundEntry{exactKey: exact, isoKey: iso, bound: bound}
+	// First write wins, as in the solve cache.
+	if !e.bounds.Add(exact, ent) {
 		return
 	}
-	ent := &boundEntry{exactKey: exact, isoKey: iso, bound: bound}
-	ent.elem = c.lru.PushFront(ent)
-	c.byExact[exact] = ent
-	if _, ok := c.byIso[iso]; !ok {
-		c.byIso[iso] = ent
-	}
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		victim := back.Value.(*boundEntry)
-		c.lru.Remove(back)
-		delete(c.byExact, victim.exactKey)
-		if c.byIso[victim.isoKey] == victim {
-			delete(c.byIso, victim.isoKey)
-		}
-		e.evictions.Add(1)
-		e.count("engine.cache.evictions", 1)
-		e.mEvictBound.Inc()
+	if _, ok := e.boundIso[iso]; !ok {
+		e.boundIso[iso] = ent
 	}
 }
 
 // --- sketch cache ---
-
-type sketchEntry struct {
-	key      string
-	sketches []*sketch.Sketch
-	elem     *list.Element
-}
-
-type sketchLRU struct {
-	mu      sync.Mutex
-	entries map[string]*sketchEntry
-	lru     *list.List
-	cap     int
-}
-
-func (c *sketchLRU) init(cap int) {
-	c.entries = make(map[string]*sketchEntry)
-	c.lru = list.New()
-	c.cap = cap
-}
 
 // sketchCacheAdapter implements core.SketchCache on the engine.
 type sketchCacheAdapter struct{ e *Engine }
 
 func (a sketchCacheAdapter) Lookup(key string) ([]*sketch.Sketch, bool) {
 	e := a.e
-	c := &e.sketches
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent, ok := c.entries[key]
+	e.sketchMu.Lock()
+	defer e.sketchMu.Unlock()
+	sketches, ok := e.sketches.Get(key)
 	if !ok {
 		e.sketchMisses.Add(1)
-		e.count("engine.sketch.misses", 1)
 		e.mSketchMiss.Inc()
 		return nil, false
 	}
-	c.lru.MoveToFront(ent.elem)
 	e.sketchHits.Add(1)
-	e.count("engine.sketch.hits", 1)
 	e.mSketchHit.Inc()
-	return cloneSketches(ent.sketches), true
+	return cloneSketches(sketches), true
 }
 
 func (a sketchCacheAdapter) Store(key string, sketches []*sketch.Sketch) {
 	e := a.e
-	c := &e.sketches
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ent, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(ent.elem)
-		return
-	}
-	ent := &sketchEntry{key: key, sketches: cloneSketches(sketches)}
-	ent.elem = c.lru.PushFront(ent)
-	c.entries[key] = ent
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		victim := back.Value.(*sketchEntry)
-		c.lru.Remove(back)
-		delete(c.entries, victim.key)
-		e.evictions.Add(1)
-		e.count("engine.cache.evictions", 1)
-		e.mEvictSketch.Inc()
-	}
+	e.sketchMu.Lock()
+	defer e.sketchMu.Unlock()
+	e.sketches.Add(key, cloneSketches(sketches))
 }
 
 func cloneSketches(in []*sketch.Sketch) []*sketch.Sketch {

@@ -360,9 +360,9 @@ func TestBoundCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.bounds.mu.Lock()
-	n := len(eng.bounds.byExact)
-	eng.bounds.mu.Unlock()
+	eng.boundMu.Lock()
+	n := eng.bounds.Len()
+	eng.boundMu.Unlock()
 	if n > 2 {
 		t.Fatalf("bound cache holds %d entries, cap 2", n)
 	}

@@ -19,9 +19,9 @@ import (
 // The key covers everything that influences the synthesized schedule:
 // the topology fingerprint, the full collective demand (kind, shape,
 // chunk size, root, and the exact chunk source/destination sets), and
-// the solve-relevant options. Options.Workers and Options.MILPWorkers
-// are deliberately excluded — schedules are byte-identical across worker
-// counts (see Options.SolveTimeLimit) — as are the pure observability
+// the solve-relevant options. Options.Workers is deliberately excluded —
+// schedules are byte-identical across worker counts (see
+// Options.SolveTimeLimit) — as are the pure observability
 // and cache-wiring fields (Obs, SolveCache, SketchCache, Sim ranking
 // options are fixed by the caller, not the request).
 //

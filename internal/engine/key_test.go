@@ -27,12 +27,11 @@ func TestPlanKeyCoalescingContract(t *testing.T) {
 		t.Fatalf("rebuilt request keyed differently:\n%s\n%s", key, k)
 	}
 
-	// Worker counts are excluded: they never change the schedule.
+	// The worker count is excluded: it never changes the schedule.
 	w8 := base
 	w8.Workers = 8
-	w8.MILPWorkers = 4
 	if k := PlanKey(top, col, w8); k != key {
-		t.Fatal("Workers/MILPWorkers changed the key")
+		t.Fatal("Workers changed the key")
 	}
 
 	// Everything schedule-relevant must split the key.

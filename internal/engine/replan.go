@@ -72,7 +72,6 @@ func (r *ReplanResult) ReuseRatio() float64 {
 // untouched groups still replay through it).
 func (e *Engine) Replan(ctx context.Context, base *topology.Topology, delta *topology.Delta, col *collective.Collective, opts core.Options) (*ReplanResult, error) {
 	e.replans.Add(1)
-	e.count("engine.replans", 1)
 	degraded, err := delta.Apply(base)
 	if err != nil {
 		e.replansErr.Add(1)
@@ -207,49 +206,19 @@ func (e *Engine) Invalidate(prefixes []string) int {
 	for i := range e.shards {
 		s := &e.shards[i]
 		s.mu.Lock()
-		var victims []*solveEntry
-		for _, ent := range s.byExact {
-			if matches(ent.exactKey, ent.isoKey) {
-				victims = append(victims, ent)
-			}
-		}
-		for _, victim := range victims {
-			s.lru.Remove(victim.elem)
-			delete(s.byExact, victim.exactKey)
-			bucket := s.byIso[victim.isoKey]
-			for j, v := range bucket {
-				if v == victim {
-					bucket = append(bucket[:j], bucket[j+1:]...)
-					break
-				}
-			}
-			if len(bucket) == 0 {
-				delete(s.byIso, victim.isoKey)
-			} else {
-				s.byIso[victim.isoKey] = bucket
-			}
+		for _, victim := range s.lru.RemoveIf(func(exact string, ent *solveEntry) bool { return matches(exact, ent.isoKey) }) {
+			s.unindex(victim)
 			removed++
 		}
 		s.mu.Unlock()
 	}
 
-	c := &e.bounds
-	c.mu.Lock()
-	var boundVictims []*boundEntry
-	for _, ent := range c.byExact {
-		if matches(ent.exactKey, ent.isoKey) {
-			boundVictims = append(boundVictims, ent)
-		}
-	}
-	for _, victim := range boundVictims {
-		c.lru.Remove(victim.elem)
-		delete(c.byExact, victim.exactKey)
-		if c.byIso[victim.isoKey] == victim {
-			delete(c.byIso, victim.isoKey)
-		}
+	e.boundMu.Lock()
+	for _, victim := range e.bounds.RemoveIf(func(exact string, ent *boundEntry) bool { return matches(exact, ent.isoKey) }) {
+		e.unindexBound(victim)
 		removed++
 	}
-	c.mu.Unlock()
+	e.boundMu.Unlock()
 
 	if it, ok := e.opts.Persist.(InvalidatingTier); ok && e.opts.Persist != nil {
 		removed += it.InvalidateMatching(prefixes)

@@ -8,13 +8,11 @@
 // accuracy/efficiency knobs (τ, E) while staying dependency-free.
 //
 // Nodes carry only their (branchVar, bound) delta against the parent;
-// each worker owns one resolvable tableau (lp.NewResolvableTableau) that
+// the search owns one resolvable tableau (lp.NewResolvableTableau) that
 // is re-solved warm per node — a right-hand-side patch plus a few dual
-// simplex pivots — instead of cloning and rebuilding the whole LP. A
-// worker pool runs the best-first search in parallel with a shared
-// incumbent; the incumbent tie-break is deterministic (lexicographically
-// smallest solution among equal objectives) so results are reproducible
-// across worker counts.
+// simplex pivots — instead of cloning and rebuilding the whole LP. The
+// search is a single best-first loop, so node order, and with it the
+// incumbent among equal objectives, is reproducible run to run.
 //
 // The solver supports warm-start incumbents (SyCCL seeds it with the
 // greedy list schedule so a feasible answer exists at any time limit) and
@@ -26,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
 	"time"
 
 	"syccl/internal/lp"
@@ -59,16 +56,11 @@ type Options struct {
 	MaxNodes  int           // 0: default 100000
 	// MaxLPIters caps the simplex pivots summed over all node
 	// relaxations (0: unlimited). Unlike TimeLimit it is a
-	// deterministic effort bound — with one worker the same search
-	// truncates at the same node on any machine — while still tracking
-	// actual work when nodes have very different relaxation costs.
-	// Checked between nodes, so the cap can overshoot by one node's
-	// pivots.
+	// deterministic effort bound — the same search truncates at the
+	// same node on any machine — while still tracking actual work when
+	// nodes have very different relaxation costs. Checked between
+	// nodes, so the cap can overshoot by one node's pivots.
 	MaxLPIters int
-	// Workers is the number of parallel branch-and-bound workers
-	// (default 1). Results are reproducible across worker counts up to
-	// the deterministic incumbent tie-break; node counts are not.
-	Workers int
 	// Incumbent optionally seeds the search with a known feasible point;
 	// it must satisfy all constraints and integrality.
 	Incumbent []float64
@@ -166,7 +158,7 @@ func (h *nodeHeap) Pop() interface{} {
 	return x
 }
 
-// solver is the state shared by all branch-and-bound workers.
+// solver is the branch-and-bound search state.
 type solver struct {
 	p              *Problem
 	n              int
@@ -178,13 +170,10 @@ type solver struct {
 	nowFn          func() time.Time
 	ctx            context.Context
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	h      nodeHeap
-	active int   // workers currently expanding a node
-	nodes  int   // nodes expanded (LP-solved)
-	iters  int   // LP pivots summed
-	seq    int64 // next node sequence number
+	h     nodeHeap
+	nodes int   // nodes expanded (LP-solved)
+	iters int   // LP pivots summed
+	seq   int64 // next node sequence number
 
 	haveInc   bool
 	best      float64 // incumbent objective (+Inf when none)
@@ -227,10 +216,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	if maxIters <= 0 {
 		maxIters = math.MaxInt
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 
 	if ctx == nil {
 		ctx = context.Background()
@@ -247,7 +232,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 		droppedLB: math.Inf(1),
 		prunedLB:  math.Inf(1),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	if opts.Incumbent != nil {
 		if !p.LP.Feasible(opts.Incumbent, 1e-6) || !integral(p, opts.Incumbent) {
 			return nil, errors.New("milp: provided incumbent is not feasible")
@@ -267,15 +251,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	heap.Init(&s.h)
 	s.seq = 1
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.worker()
-		}()
-	}
-	wg.Wait()
+	s.search()
 
 	sol := &Solution{Nodes: s.nodes, LPIters: s.iters}
 	switch {
@@ -314,9 +290,9 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	return sol, nil
 }
 
-// worker runs the branch-and-bound loop against its own warm tableau
-// until the heap drains or a limit fires.
-func (s *solver) worker() {
+// search runs the branch-and-bound loop against one warm tableau until
+// the heap drains or a limit fires.
+func (s *solver) search() {
 	tab, _ := lp.NewResolvableTableau(s.p.LP) // nil tab → cold fallback per node
 	if tab != nil && s.ctx.Done() != nil {
 		// Cancellation reaches into the pivot loop: a cancelled node solve
@@ -327,28 +303,10 @@ func (s *solver) worker() {
 	lo := make([]float64, s.n)
 	hi := make([]float64, s.n)
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		for len(s.h) == 0 && s.active > 0 && !s.stop {
-			s.cond.Wait()
-		}
-		if s.stop {
-			// Drain: every remaining open node is an unresolved subtree.
-			for _, nd := range s.h {
-				s.noteDropped(nd.bound)
-			}
-			s.h = s.h[:0]
-			s.cond.Broadcast()
-			return
-		}
-		if len(s.h) == 0 {
-			return // no open nodes, no active workers: exhausted
-		}
+	for len(s.h) > 0 && !s.stop {
 		if s.nodes >= s.maxNodes || s.iters >= s.maxIters || s.ctx.Err() != nil || (!s.deadline.IsZero() && s.nowFn().After(s.deadline)) {
 			s.stop = true
-			s.cond.Broadcast()
-			continue
+			break
 		}
 		nd := heap.Pop(&s.h).(*node)
 		if nd.bound >= s.best-s.gap-intTol {
@@ -358,25 +316,23 @@ func (s *solver) worker() {
 			}
 			continue
 		}
-		s.active++
 		s.nodes++
-		s.mu.Unlock()
-
 		ls := s.solveNode(tab, nd, lo, hi)
-
-		s.mu.Lock()
 		if ls != nil {
 			s.iters += ls.Iters
 		}
 		s.finishNode(nd, ls, lo, hi)
-		s.active--
-		s.cond.Broadcast()
 	}
+	// Every node still open when a limit fired is an unresolved subtree.
+	for _, nd := range s.h {
+		s.noteDropped(nd.bound)
+	}
+	s.h = s.h[:0]
 }
 
-// solveNode solves the node's LP relaxation, warm via the worker tableau
-// with a cold clone-and-rebuild fallback. Called without the lock; lo/hi
-// are the worker's scratch bound boxes. Returns nil when the relaxation
+// solveNode solves the node's LP relaxation, warm via the search's tableau
+// with a cold clone-and-rebuild fallback. lo/hi are scratch bound
+// boxes. Returns nil when the relaxation
 // is infeasible or unusable.
 func (s *solver) solveNode(tab *lp.Tableau, nd *node, lo, hi []float64) *lp.Solution {
 	nd.materialize(lo, hi, s.baseLo, s.baseHi)
@@ -421,8 +377,8 @@ func (s *solver) coldSolve(nd *node, lo, hi []float64) *lp.Solution {
 	return ls
 }
 
-// finishNode classifies the node's relaxation and, under the lock,
-// updates the incumbent or pushes the two children.
+// finishNode classifies the node's relaxation and updates the
+// incumbent or pushes the two children.
 func (s *solver) finishNode(nd *node, ls *lp.Solution, lo, hi []float64) {
 	if ls == nil {
 		return // infeasible child
@@ -456,7 +412,7 @@ func (s *solver) finishNode(nd *node, ls *lp.Solution, lo, hi []float64) {
 	if branch < 0 {
 		// Integral: candidate incumbent. Ties on the objective resolve to
 		// the lexicographically smallest solution so the result does not
-		// depend on node exploration order (and hence worker count).
+		// depend on node exploration order.
 		x := roundIntegral(s.p, ls.X)
 		if s.betterIncumbent(ls.Objective, x) {
 			s.best = ls.Objective

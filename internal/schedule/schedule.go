@@ -176,55 +176,58 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 
 	// Walk transfers in dependency order tracking piece possession.
 	// has[p] is the set of GPUs holding piece p (for reduction pieces:
-	// holding the partial aggregate rooted at their subtree).
-	has := make([]map[int]bool, len(s.Pieces))
-	originOf := func(p int) map[int]bool {
-		set := make(map[int]bool)
-		chunks := s.Pieces[p].Chunks
-		if len(chunks) == 0 {
-			return set
+	// holding the partial aggregate rooted at their subtree), origin[p]
+	// the set holding it before any transfer runs. Both are dense
+	// per-GPU slices; holds treats GPUs outside the schedule as never
+	// holding anything.
+	ng := s.NumGPUs
+	has := make([][]bool, len(s.Pieces))
+	origin := make([][]bool, len(s.Pieces))
+	for p := range s.Pieces {
+		has[p] = make([]bool, ng)
+		origin[p] = make([]bool, ng)
+		mark := func(g int) {
+			if g >= 0 && g < ng {
+				has[p][g], origin[p][g] = true, true
+			}
 		}
-		if col.Reduce && len(chunks) > 1 {
+		chunks := s.Pieces[p].Chunks
+		switch {
+		case len(chunks) == 0:
+		case col.Reduce && len(chunks) > 1:
 			// A reduction slice: every contributor starts with its own
 			// partial aggregate.
 			for _, c := range chunks {
-				set[col.Chunks[c].Src] = true
+				mark(col.Chunks[c].Src)
 			}
-			return set
-		}
-		// A forward piece is the concatenation of its chunks: only a GPU
-		// sourcing every one of them holds the piece before any transfer
-		// runs. (Sourcing a single chunk of a multi-chunk piece is not
-		// possession of the piece.)
-		src := col.Chunks[chunks[0]].Src
-		for _, c := range chunks[1:] {
-			if col.Chunks[c].Src != src {
-				return set
+		default:
+			// A forward piece is the concatenation of its chunks: only a
+			// GPU sourcing every one of them holds the piece before any
+			// transfer runs. (Sourcing a single chunk of a multi-chunk
+			// piece is not possession of the piece.)
+			src := col.Chunks[chunks[0]].Src
+			whole := true
+			for _, c := range chunks[1:] {
+				if col.Chunks[c].Src != src {
+					whole = false
+					break
+				}
+			}
+			if whole {
+				mark(src)
 			}
 		}
-		set[src] = true
-		return set
 	}
-	for p := range s.Pieces {
-		has[p] = originOf(p)
-	}
-	// completedInto[p][g] counts inbound transfers of piece p delivered
-	// to GPU g among the transfers processed so far (for the reduction
-	// all-inbound-before-send check we instead verify dependency sets).
-	inbound := make([]map[int][]int, len(s.Pieces)) // piece -> dst -> transfer indices
+	holds := func(p, g int) bool { return g >= 0 && g < ng && has[p][g] }
+	// inbound[p*ng+g] lists the transfers delivering piece p to GPU g.
+	inbound := make(map[int][]int, len(s.Transfers))
 	for i, t := range s.Transfers {
-		if inbound[t.Piece] == nil {
-			inbound[t.Piece] = make(map[int][]int)
-		}
-		inbound[t.Piece][t.Dst] = append(inbound[t.Piece][t.Dst], i)
+		k := t.Piece*ng + t.Dst
+		inbound[k] = append(inbound[k], i)
 	}
-	depSet := func(t Transfer) map[int]bool {
-		m := make(map[int]bool, len(t.Deps))
-		for _, d := range t.Deps {
-			m[d] = true
-		}
-		return m
-	}
+	// depOf[d] == i+1 iff transfer d is a dependency of transfer i (the
+	// one being checked); stamping avoids clearing between transfers.
+	depOf := make([]int, len(s.Transfers))
 	for _, i := range order {
 		t := s.Transfers[i]
 		p := t.Piece
@@ -232,20 +235,22 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 		if !has[p][t.Src] {
 			return fmt.Errorf("schedule: transfer %d sends piece %d from GPU %d which never obtains it", i, p, t.Src)
 		}
-		origin := originOf(p)[t.Src]
-		deps := depSet(t)
+		for _, d := range t.Deps {
+			depOf[d] = i + 1
+		}
+		in := inbound[p*ng+t.Src]
 		if reduce {
 			// Sender must have waited for every inbound contribution.
-			for _, in := range inbound[p][t.Src] {
-				if !deps[in] {
-					return fmt.Errorf("schedule: reduction transfer %d from GPU %d missing dep on inbound transfer %d", i, t.Src, in)
+			for _, d := range in {
+				if depOf[d] != i+1 {
+					return fmt.Errorf("schedule: reduction transfer %d from GPU %d missing dep on inbound transfer %d", i, t.Src, d)
 				}
 			}
-		} else if !origin {
+		} else if !origin[p][t.Src] {
 			// Sender must depend on at least one inbound delivery.
 			ok := false
-			for _, in := range inbound[p][t.Src] {
-				if deps[in] {
+			for _, d := range in {
+				if depOf[d] == i+1 {
 					ok = true
 					break
 				}
@@ -263,7 +268,7 @@ func (s *Schedule) Validate(col *collective.Collective) error {
 			satisfied := 0.0
 			for p, piece := range s.Pieces {
 				for _, pc := range piece.Chunks {
-					if pc == c && has[p][d] {
+					if pc == c && holds(p, d) {
 						satisfied += piece.Bytes
 						break
 					}

@@ -9,13 +9,14 @@ import (
 	"syccl/internal/schedule"
 )
 
-// flight is one in-flight synthesis shared by every concurrent duplicate
-// request (single-flight). The leader's goroutine runs the solve under
-// f.ctx — a context owned by the flight, not by any one client — and
-// publishes the outcome before closing done. f.ctx is cancelled only
-// when every waiter has gone, so one client disconnecting never kills a
-// solve that others still want, while a solve nobody is waiting on stops
-// promptly and (by the engine's contract) never populates the caches.
+// flight is one in-flight synthesis or replan shared by every concurrent
+// duplicate request (single-flight). The leader's goroutine runs the
+// solve under f.ctx — a context owned by the flight, not by any one
+// client — and publishes the outcome before closing done. f.ctx is
+// cancelled only when every waiter has gone, so one client disconnecting
+// never kills a solve that others still want, while a solve nobody is
+// waiting on stops promptly and (by the engine's contract) never
+// populates the caches.
 type flight struct {
 	key    string
 	done   chan struct{}
@@ -38,7 +39,8 @@ type flight struct {
 	apiErr *APIError
 	// Telemetry outcome, also published before close(done): the span
 	// tree (f.rec's history), the admission wait, the engine time, and
-	// which cache tier answered ("store", "warm", or "cold").
+	// which cache tier answered ("store", "warm", or "cold"; "none" for a
+	// replan).
 	spans     []obs.SpanRecord
 	queueWait time.Duration
 	solve     time.Duration

@@ -119,11 +119,12 @@ func (s *Server) snapshotLoop(ctx context.Context, interval time.Duration) {
 }
 
 // prewarmLoop sweeps the configured request grid in the background:
-// each spec is resolved and planned exactly as an API request would be,
-// and the result lands in the schedule store (and, transitively, the
-// engine's memory and disk tiers). The sweep uses idle capacity only —
-// it waits out in-flight API requests between items and goes through
-// admission like everyone else — and stops when the server drains.
+// each spec is resolved and planned exactly as an API request would be —
+// it joins or starts the same flight, so it goes through admission like
+// everyone else — and the result lands in the schedule store (and,
+// transitively, the engine's memory and disk tiers). The sweep uses idle
+// capacity only — it waits out in-flight API requests between items —
+// and stops when the server drains.
 func (s *Server) prewarmLoop(ctx context.Context) {
 	defer s.bgFlight.Add(-1)
 	for i := range s.opts.Prewarm {
@@ -152,27 +153,25 @@ func (s *Server) prewarmOne(ctx context.Context, req *Request) {
 		s.met.prewarm.With("skipped").Inc()
 		return
 	}
-	if err := s.adm.acquire(ctx); err != nil {
+	f, _ := s.joinOrStart(nil, res)
+	defer s.flights.leave(f)
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		// Draining: leaving cancels the flight unless a request shares it.
 		s.met.prewarm.With("error").Inc()
 		return
 	}
-	defer s.adm.release()
-	pctx := ctx
-	if res.timeout > 0 {
-		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, res.timeout)
-		defer cancel()
-	}
-	result, err := s.eng.Plan(pctx, res.top, res.col, res.opts)
-	if err != nil || result.Partial {
-		// Partial results never enter the store (same rule as runFlight);
-		// a drain-cancelled prewarm lands here and is simply dropped.
+	switch {
+	case f.cache == cacheTierStore:
+		s.met.prewarm.With("skipped").Inc()
+	case f.apiErr != nil || f.resp.Partial:
+		// Partial results never enter the store (see runFlight).
 		s.met.prewarm.With("error").Inc()
-		return
+	default:
+		s.prewarmed.Add(1)
+		s.met.prewarm.With("planned").Inc()
 	}
-	s.store.put(res.id, s.buildResponse(res, result), result.Schedule)
-	s.prewarmed.Add(1)
-	s.met.prewarm.With("planned").Inc()
 }
 
 // PrewarmGrid expands a topology × collective × size grid into the
@@ -191,8 +190,7 @@ func PrewarmGrid(topologies, collectives, sizes []string) []Request {
 }
 
 // buildResponse assembles the base (per-request-flag-free) response for
-// a completed plan; runFlight and the prewarmer share it so stored
-// results are identical whichever path produced them.
+// a completed plan.
 func (s *Server) buildResponse(res *resolved, result *core.Result) SynthesizeResponse {
 	col := res.col
 	bus := metrics.BusBandwidth(col.Kind, col.NumGPUs, metrics.DataBytes(col), result.Time)

@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"syccl/internal/cli"
 	"syccl/internal/topology"
@@ -183,5 +185,72 @@ func TestReplanEndpoint(t *testing.T) {
 	}
 	if err := json.Unmarshal(raw, &e); err != nil || e.Error.Code != CodeBadDelta {
 		t.Fatalf("deltaless replan: want code %q, got %s", CodeBadDelta, raw)
+	}
+}
+
+// TestReplanCoalescing64: 64 ranks reporting one fault at once cost one
+// engine replan. The only admission slot is held until every request has
+// joined the flight, so none can arrive after it finished; every request
+// then gets the same 200 answer and all but the leader are coalesced.
+func TestReplanCoalescing64(t *testing.T) {
+	s, ts := newTestServer(t, Options{Concurrency: 1})
+	const n = 64
+	const body = `{"topology":"dgx4","collective":"allgather","size":"1M","topology_delta":"slow:0-4*4"}`
+
+	ctx, cancel := contextWithTimeout(t, 10*time.Second)
+	defer cancel()
+	if err := s.adm.acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	replans := s.Engine().Stats().Replans
+
+	var wg sync.WaitGroup
+	results := make([]SynthesizeResponse, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/replan", "application/json", strings.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
+				return
+			}
+			errs[i] = json.NewDecoder(resp.Body).Decode(&results[i])
+		}(i)
+	}
+	waitFor(t, 10*time.Second, "every replan to join the flight", func() bool {
+		return s.Stats().Server.Coalesced == n-1
+	})
+	s.adm.release()
+	wg.Wait()
+
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if d := s.Engine().Stats().Replans - replans; d != 1 {
+		t.Fatalf("64 identical concurrent replans ran %d engine replans, want 1", d)
+	}
+	coalesced := 0
+	for i, r := range results {
+		if r.Coalesced {
+			coalesced++
+		}
+		if r.ID == "" || r.ID != results[0].ID {
+			t.Fatalf("response %d id %q, response 0 id %q", i, r.ID, results[0].ID)
+		}
+		if r.Replan == nil || *r.Replan != *results[0].Replan {
+			t.Fatalf("response %d replan block %+v, response 0 %+v", i, r.Replan, results[0].Replan)
+		}
+	}
+	if coalesced != n-1 {
+		t.Fatalf("%d of %d replans coalesced, want %d", coalesced, n, n-1)
 	}
 }

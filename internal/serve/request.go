@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -188,6 +187,10 @@ type resolved struct {
 	timeout time.Duration
 	key     string
 	id      string
+	// replan runs the flight through engine.Replan: set for POST
+	// /v1/replan, whose key carries a "replan|" prefix so replans and
+	// synthesize requests never share a flight.
+	replan bool
 }
 
 // resolve maps request specs onto concrete objects, surfacing each
@@ -259,9 +262,8 @@ func (s *Server) resolve(req *Request) (*resolved, *APIError) {
 	// The timeout participates in the key: two identical demands with
 	// different deadlines must not share a flight, or the longer request
 	// would inherit the shorter one's (possibly Partial) result.
-	r.key = fmt.Sprintf("%s|to=%d|bypass=%t", engine.PlanKey(top, col, opts), timeout, req.BypassStore)
-	r.id = scheduleID(engine.PlanKey(top, col, opts))
+	planKey := engine.PlanKey(top, col, opts)
+	r.key = fmt.Sprintf("%s|to=%d|bypass=%t", planKey, timeout, req.BypassStore)
+	r.id = scheduleID(planKey)
 	return r, nil
 }
-
-var errClientGone = errors.New("serve: client disconnected")

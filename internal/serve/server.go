@@ -6,7 +6,8 @@
 //
 //   - single-flight coalescing — concurrent duplicate requests (same
 //     engine.PlanKey and deadline) share one solve, so N identical cold
-//     requests cost one trip through the pipeline;
+//     requests cost one trip through the pipeline, and N identical
+//     replans one engine replan;
 //   - admission control — a configurable solve concurrency with a bounded
 //     wait queue; overflow is rejected immediately with 429 and a
 //     Retry-After hint rather than queued without bound;
@@ -22,11 +23,12 @@
 //     trees, a structured access log, and a flight recorder of recent
 //     and slowest requests.
 //
-// Endpoints: POST /v1/synthesize, GET /v1/schedule/{id}, GET /healthz,
-// GET /statsz, GET /tracez (Chrome trace of recent server activity),
-// GET /metrics (Prometheus text exposition), GET /debug/requests and
-// GET /debug/requests/{id} (flight recorder). Every response carries an
-// X-Syccl-Request header naming the request's flight record.
+// Endpoints: POST /v1/synthesize, POST /v1/replan, GET /v1/schedule/{id},
+// GET /healthz, GET /statsz, GET /tracez (Chrome trace of recent server
+// activity), GET /metrics (Prometheus text exposition), GET
+// /debug/requests and GET /debug/requests/{id} (flight recorder). Every
+// response carries an X-Syccl-Request header naming the request's flight
+// record.
 package serve
 
 import (
@@ -85,8 +87,8 @@ type Options struct {
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// Obs receives server counters, handler spans, and the engine's
-	// pipeline spans, and backs GET /tracez. A bounded recorder
+	// Obs receives handler spans and each flight's pipeline spans and
+	// counters, and backs GET /tracez. A bounded recorder
 	// (DefaultMaxSpans/DefaultMaxSamples retention) is built when nil.
 	Obs *obs.Recorder
 	// Metrics backs GET /metrics; serve and engine families register on
@@ -141,7 +143,7 @@ func (o Options) withDefaults() Options {
 		o.Metrics = obs.NewRegistry()
 	}
 	if o.Engine == nil {
-		o.Engine = engine.New(engine.Options{Obs: o.Obs, Metrics: o.Metrics, Persist: persistTier(o.Persist)})
+		o.Engine = engine.New(engine.Options{Metrics: o.Metrics, Persist: persistTier(o.Persist)})
 	}
 	return o
 }
@@ -273,13 +275,13 @@ func New(opts Options) *Server {
 		rec:     opts.Obs,
 		adm:     newAdmission(opts.Concurrency, opts.QueueDepth),
 		flights: newFlightGroup(),
-		store:   newScheduleStore(opts.StoreEntries),
 		met:     newServeMetrics(opts.Metrics),
 		frec:    newFlightRecorder(opts.RecentRequests, opts.SlowRequests),
 		alog:    newAccessLogger(opts.AccessLog),
 		ids:     newRequestIDs(),
 		persist: opts.Persist,
 	}
+	s.store = newScheduleStore(opts.StoreEntries, func() { s.storeEvictions.Add(1) })
 	bgCtx, bgCancel := context.WithCancel(context.Background())
 	s.bgCancel = bgCancel
 	if s.persist != nil {
@@ -297,8 +299,8 @@ func New(opts Options) *Server {
 		go s.prewarmLoop(bgCtx)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/synthesize", s.handleSynthesize)
-	mux.HandleFunc("POST /v1/replan", s.handleReplan)
+	mux.HandleFunc("POST /v1/synthesize", func(w http.ResponseWriter, r *http.Request) { s.handlePlan(w, r, false) })
+	mux.HandleFunc("POST /v1/replan", func(w http.ResponseWriter, r *http.Request) { s.handlePlan(w, r, true) })
 	mux.HandleFunc("GET /v1/schedule/{id}", s.handleSchedule)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /statsz", s.handleStatsz)
@@ -405,84 +407,131 @@ func (s *Server) Stats() StatsSnapshot {
 	}
 }
 
-func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	sp := s.rec.StartSpan("http.synthesize")
+// handlePlan is the front half of POST /v1/synthesize and POST
+// /v1/replan: decode and resolve the body, then hand it to serveResolved,
+// which both endpoints share. A replan also requires a topology_delta and
+// runs as its own flight under a replan-prefixed key, so identical
+// concurrent replans cost one engine replan.
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, replan bool) {
+	name := "http.synthesize"
+	if replan {
+		name = "http.replan"
+	}
+	sp := s.rec.StartSpan(name)
 	defer sp.End()
 	s.requests.Add(1)
-	s.rec.Count("serve.requests", 1)
 	rr := requestRecordFrom(r.Context())
 
-	if s.draining.Load() {
-		writeAPIError(w, apiErrorf(http.StatusServiceUnavailable, CodeDraining, "server is draining"))
+	res, aerr := s.readRequest(r, replan)
+	if aerr != nil {
+		s.errs.Add(1)
+		sp.SetStr("error", aerr.Code)
+		if rr != nil {
+			rr.Error = aerr.Code
+		}
+		writeAPIError(w, aerr)
 		return
 	}
-	req, aerr := DecodeRequest(r.Body, s.opts.MaxBodyBytes)
-	if aerr == nil {
-		var res *resolved
-		res, aerr = s.resolve(req)
-		if aerr == nil {
-			sp.SetStr("topology", res.top.Name)
-			sp.SetStr("collective", res.col.Kind.String())
-			if rr != nil {
-				rr.Topology = strings.ToLower(res.req.Topology)
-				rr.Collective = strings.ToLower(res.col.Kind.String())
-				rr.PlanKey = res.id
-			}
-			s.serveResolved(w, r, res)
-			return
-		}
-	}
-	s.errs.Add(1)
-	s.rec.Count("serve.errors", 1)
-	sp.SetStr("error", aerr.Code)
+	sp.SetStr("topology", res.top.Name)
+	sp.SetStr("collective", res.col.Kind.String())
 	if rr != nil {
-		rr.Error = aerr.Code
+		rr.Topology = strings.ToLower(res.req.Topology)
+		rr.Collective = strings.ToLower(res.col.Kind.String())
+		rr.PlanKey = res.id
 	}
-	writeAPIError(w, aerr)
+	s.serveResolved(w, r, res)
 }
 
-func (s *Server) serveResolved(w http.ResponseWriter, r *http.Request, res *resolved) {
-	if res.req.Stream {
-		s.serveStream(w, r, res)
-		return
+// readRequest refuses work while draining, then decodes and resolves the
+// body.
+func (s *Server) readRequest(r *http.Request, replan bool) (*resolved, *APIError) {
+	if s.draining.Load() {
+		return nil, apiErrorf(http.StatusServiceUnavailable, CodeDraining, "server is draining")
 	}
-	rr := requestRecordFrom(r.Context())
+	req, aerr := DecodeRequest(r.Body, s.opts.MaxBodyBytes)
+	if aerr != nil {
+		return nil, aerr
+	}
+	if replan && strings.TrimSpace(req.TopologyDelta) == "" {
+		return nil, apiErrorf(http.StatusBadRequest, CodeBadDelta, "missing required field %q", "topology_delta")
+	}
+	res, aerr := s.resolve(req)
+	if aerr != nil {
+		return nil, aerr
+	}
+	if replan {
+		res.replan = true
+		res.key = "replan|" + res.key
+	}
+	return res, nil
+}
 
-	// Warm duplicates: served straight from the store, engine untouched.
-	if !res.req.BypassStore {
+// serveResolved answers a resolved request with exactly one terminal
+// result. A store hit is answered before any flight exists; replans skip
+// the store because a fault is news, and so do bypass_store requests.
+// Everything else joins, or starts, the single flight for res.key. A
+// streaming request relays the flight's incumbent events first; a JSON
+// response is the same stream drained to its final event.
+func (s *Server) serveResolved(w http.ResponseWriter, r *http.Request, res *resolved) {
+	rr := requestRecordFrom(r.Context())
+	out := &responder{w: w, stream: res.req.Stream, schedule: res.req.IncludeSchedule}
+
+	if !res.replan && !res.req.BypassStore {
 		if ent, ok := s.store.get(res.id); ok {
 			s.storeHits.Add(1)
-			s.rec.Count("serve.store.hits", 1)
 			if rr != nil {
 				rr.Cache = cacheTierStore
 			}
 			resp := ent.resp
 			resp.Cached = true
-			if res.req.IncludeSchedule {
-				resp.Schedule = ToScheduleJSON(ent.sched)
-			}
-			writeJSON(w, http.StatusOK, resp)
+			out.final(http.StatusOK, resp, ent.sched)
 			return
 		}
 	}
 
-	// Cold or bypassing: join (or start) the single flight for this key.
 	f, leader := s.joinOrStart(rr, res)
 	defer s.flights.leave(f)
+	if !leader {
+		s.coalesced.Add(1)
+	}
+	// A stream subscribes before waiting: the history replay covers
+	// everything published before this point, the live channel everything
+	// after. A JSON response never reads events, and a nil channel never
+	// delivers any.
+	var sub <-chan StreamEvent
+	if out.stream {
+		sub = f.subscribe()
+	}
 
-	select {
-	case <-f.done:
-	case <-r.Context().Done():
-		// The client is gone (or its transport deadline fired); leaving
-		// drops our stake in the flight, and the last waiter out cancels
-		// the solve so abandoned work never populates the engine caches.
-		s.errs.Add(1)
-		s.rec.Count("serve.errors", 1)
-		if rr != nil {
-			rr.Error = "client_gone"
+wait:
+	for {
+		select {
+		case ev := <-sub:
+			out.emit(ev)
+		case <-f.done:
+			break wait
+		case <-r.Context().Done():
+			// The client is gone (or its transport deadline fired); leaving
+			// drops our stake in the flight, and the last waiter out cancels
+			// the solve so abandoned work never populates the engine caches.
+			s.errs.Add(1)
+			if rr != nil {
+				rr.Error = "client_gone"
+			}
+			s.fail(out, apiErrorf(http.StatusServiceUnavailable, CodeDeadline, "client disconnected: %v", r.Context().Err()))
+			return
 		}
-		writeAPIError(w, apiErrorf(http.StatusServiceUnavailable, CodeDeadline, "client disconnected: %v", r.Context().Err()))
-		return
+	}
+	// Every publish happens-before close(f.done), but the select above may
+	// take the done arm while events still sit in the buffer — drain them
+	// so the stream is complete before the terminal event.
+	for drained := false; !drained; {
+		select {
+		case ev := <-sub:
+			out.emit(ev)
+		default:
+			drained = true
+		}
 	}
 
 	// The flight is done: copy its telemetry into this request's record.
@@ -501,14 +550,10 @@ func (s *Server) serveResolved(w http.ResponseWriter, r *http.Request, res *reso
 	}
 
 	if f.apiErr != nil {
-		if f.apiErr.Code == CodeQueueFull {
-			_, queued := s.adm.load()
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterHint(s.opts.RetryAfter, queued, s.opts.Concurrency)))
-		}
 		if rr != nil {
 			rr.Error = f.apiErr.Code
 		}
-		writeAPIError(w, f.apiErr)
+		s.fail(out, f.apiErr)
 		return
 	}
 	resp := f.resp
@@ -516,14 +561,28 @@ func (s *Server) serveResolved(w http.ResponseWriter, r *http.Request, res *reso
 	if rr != nil {
 		rr.Partial = resp.Partial
 	}
-	if res.req.IncludeSchedule {
-		resp.Schedule = ToScheduleJSON(f.sched)
+	out.final(f.status, resp, f.sched)
+}
+
+// fail writes a terminal error. Before anything was streamed (always, for
+// a JSON response) it is the response's status and structured body, with
+// a load-derived Retry-After on 429s; after, it is the stream's error
+// event.
+func (s *Server) fail(out *responder, e *APIError) {
+	if out.started {
+		out.emit(StreamEvent{Event: StreamEventError, Error: e})
+		return
 	}
-	writeJSON(w, f.status, resp)
+	if e.Code == CodeQueueFull {
+		_, queued := s.adm.load()
+		out.w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterHint(s.opts.RetryAfter, queued, s.opts.Concurrency)))
+	}
+	writeAPIError(out.w, e)
 }
 
 // joinOrStart joins the single flight for res.key, becoming the leader
-// (and starting the solve goroutine) when this request is first in.
+// (and starting the solve goroutine) when this caller is first in. rr is
+// nil for the prewarmer.
 func (s *Server) joinOrStart(rr *RequestRecord, res *resolved) (*flight, bool) {
 	f, leader := s.flights.join(res.key)
 	if leader {
@@ -533,123 +592,13 @@ func (s *Server) joinOrStart(rr *RequestRecord, res *resolved) (*flight, bool) {
 		}
 		s.bgFlight.Add(1)
 		go s.runFlight(f, res)
-	} else {
-		s.coalesced.Add(1)
-		s.rec.Count("serve.coalesced", 1)
 	}
 	return f, leader
 }
 
-// serveStream answers a Request.Stream synthesis as NDJSON: one
-// "incumbent" event per improving schedule the leader's solve publishes,
-// terminated by exactly one "final" (or "error") event. The first event
-// commits HTTP 200; a failure before anything was streamed still gets
-// the ordinary error status and body, a failure after arrives as the
-// terminal error event. A deadline-cut solve ends with a final event
-// whose partial flag is set and whose response is the best streamed
-// incumbent — never a 206-or-nothing.
-func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, res *resolved) {
-	rr := requestRecordFrom(r.Context())
-	sw := newStreamWriter(w)
-
-	// Warm duplicates: one immediate final event from the store.
-	if !res.req.BypassStore {
-		if ent, ok := s.store.get(res.id); ok {
-			s.storeHits.Add(1)
-			s.rec.Count("serve.store.hits", 1)
-			if rr != nil {
-				rr.Cache = cacheTierStore
-			}
-			resp := ent.resp
-			resp.Cached = true
-			if res.req.IncludeSchedule {
-				resp.Schedule = ToScheduleJSON(ent.sched)
-			}
-			sw.emit(StreamEvent{Event: StreamEventFinal, TimeS: resp.PredictedTimeS, Response: &resp})
-			return
-		}
-	}
-
-	f, leader := s.joinOrStart(rr, res)
-	defer s.flights.leave(f)
-	// Subscribe before waiting: the history replay covers everything
-	// published before this point, the live channel everything after.
-	sub := f.subscribe()
-
-wait:
-	for {
-		select {
-		case ev := <-sub:
-			sw.emit(ev)
-		case <-f.done:
-			break wait
-		case <-r.Context().Done():
-			s.errs.Add(1)
-			s.rec.Count("serve.errors", 1)
-			if rr != nil {
-				rr.Error = "client_gone"
-			}
-			if !sw.started {
-				writeAPIError(w, apiErrorf(http.StatusServiceUnavailable, CodeDeadline, "client disconnected: %v", r.Context().Err()))
-			}
-			return
-		}
-	}
-
-	// Every publish happens-before close(f.done), but the select above may
-	// take the done arm while events still sit in the buffer — drain them
-	// so the stream is complete before the terminal event.
-	for drained := false; !drained; {
-		select {
-		case ev := <-sub:
-			sw.emit(ev)
-		default:
-			drained = true
-		}
-	}
-
-	if rr != nil {
-		rr.Leader = leader
-		rr.Coalesced = !leader
-		rr.QueueWaitUS = float64(f.queueWait) / float64(time.Microsecond)
-		rr.SolveUS = float64(f.solve) / float64(time.Microsecond)
-		rr.Spans = f.spans
-		if leader {
-			rr.Cache = f.cache
-		} else {
-			rr.Cache = cacheTierCoal
-		}
-	}
-
-	if f.apiErr != nil {
-		if rr != nil {
-			rr.Error = f.apiErr.Code
-		}
-		if !sw.started {
-			if f.apiErr.Code == CodeQueueFull {
-				_, queued := s.adm.load()
-				w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterHint(s.opts.RetryAfter, queued, s.opts.Concurrency)))
-			}
-			writeAPIError(w, f.apiErr)
-			return
-		}
-		sw.emit(StreamEvent{Event: StreamEventError, Error: f.apiErr})
-		return
-	}
-
-	resp := f.resp
-	resp.Coalesced = !leader
-	if rr != nil {
-		rr.Partial = resp.Partial
-	}
-	if res.req.IncludeSchedule {
-		resp.Schedule = ToScheduleJSON(f.sched)
-	}
-	sw.emit(StreamEvent{Event: StreamEventFinal, TimeS: resp.PredictedTimeS, Partial: resp.Partial, Response: &resp})
-}
-
 // runFlight executes one coalesced solve: admission, deadline, engine
-// plan, store. It publishes the outcome on f before closing f.done.
+// plan (or replan), store. It publishes the outcome on f before closing
+// f.done.
 //
 // The solve's spans land on f.rec — a recorder private to this flight —
 // so the request owns its span tree; the tree is then merged into the
@@ -670,10 +619,9 @@ func (s *Server) runFlight(f *flight, res *resolved) {
 	// then lose the race with a finishing duplicate flight and become a
 	// fresh leader for work that is already done. Serving the stored
 	// result here keeps "N duplicates, one engine call" airtight.
-	if !res.req.BypassStore {
+	if !res.replan && !res.req.BypassStore {
 		if ent, ok := s.store.get(res.id); ok {
 			s.storeHits.Add(1)
-			s.rec.Count("serve.store.hits", 1)
 			f.resp = ent.resp
 			f.resp.Cached = true
 			f.sched = ent.sched
@@ -690,7 +638,6 @@ func (s *Server) runFlight(f *flight, res *resolved) {
 	if err != nil {
 		if errors.Is(err, errQueueFull) {
 			s.rejections.Add(1)
-			s.rec.Count("serve.queue.rejections", 1)
 			f.apiErr = apiErrorf(http.StatusTooManyRequests, CodeQueueFull,
 				"admission queue full (%d solves running, %d queued); retry later",
 				s.opts.Concurrency, s.opts.QueueDepth)
@@ -707,7 +654,11 @@ func (s *Server) runFlight(f *flight, res *resolved) {
 		ctx, cancel = context.WithTimeout(ctx, res.timeout)
 		defer cancel()
 	}
-	sp := f.rec.StartSpan("serve.plan")
+	name := "serve.plan"
+	if res.replan {
+		name = "serve.replan"
+	}
+	sp := f.rec.StartSpan(name)
 	sp.SetStr("key", res.id)
 	if f.reqID != "" {
 		sp.SetStr("request", f.reqID)
@@ -720,7 +671,7 @@ func (s *Server) runFlight(f *flight, res *resolved) {
 	// leader's incumbents live, and the incumbent metrics cover all
 	// traffic. The callback runs on synthesis worker goroutines; publish
 	// and the metric adds are non-blocking.
-	result, err := s.eng.SynthesizeStream(ctx, res.top, res.col, opts, func(inc core.Incumbent) {
+	opts.OnIncumbent = func(inc core.Incumbent) {
 		elapsed := time.Since(solveStart)
 		if inc.Seq == 1 {
 			s.met.ttfi.Observe(elapsed.Seconds())
@@ -735,7 +686,17 @@ func (s *Server) runFlight(f *flight, res *resolved) {
 			Engine:    inc.Engine,
 			ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 		})
-	})
+	}
+	var result *core.Result
+	var replan *engine.ReplanResult
+	if res.replan {
+		replan, err = s.eng.Replan(ctx, res.base, res.delta, res.col, opts)
+		if replan != nil {
+			result = replan.Result
+		}
+	} else {
+		result, err = s.eng.Plan(ctx, res.top, res.col, opts)
+	}
 	f.solve = time.Since(solveStart)
 	sp.End()
 	s.met.solveDur.With(strings.ToLower(res.col.Kind.String()), strings.ToLower(res.req.Topology)).Observe(f.solve.Seconds())
@@ -745,7 +706,6 @@ func (s *Server) runFlight(f *flight, res *resolved) {
 				"deadline expired before any candidate completed")
 		} else {
 			s.errs.Add(1)
-			s.rec.Count("serve.errors", 1)
 			f.apiErr = apiErrorf(http.StatusInternalServerError, CodeInternal, "synthesis failed: %v", err)
 		}
 		return
@@ -755,9 +715,23 @@ func (s *Server) runFlight(f *flight, res *resolved) {
 	f.sched = result.Schedule
 	f.status = http.StatusOK
 	// Engine-warm (every sub-demand from cache) vs a genuine cold solve.
-	if result.Stats.SolverCalls == 0 {
+	// Replans keep the "none" tier: store/warm/cold describe synthesize
+	// traffic, and syccl_replan_total counts replan outcomes.
+	switch {
+	case replan != nil:
+		f.cache = cacheTierNone
+		resp.Replan = &ReplanJSON{
+			Delta:         res.delta.String(),
+			TouchedGroups: replan.TouchedGroups,
+			TotalGroups:   replan.TotalGroups,
+			Invalidated:   replan.Invalidated,
+			ReusedSubs:    replan.ReusedSubs,
+			SolvedSubs:    replan.SolvedSubs,
+			ReuseRatio:    replan.ReuseRatio(),
+		}
+	case result.Stats.SolverCalls == 0:
 		f.cache = cacheTierWarm
-	} else {
+	default:
 		f.cache = cacheTierCold
 	}
 	if result.Partial {
@@ -766,143 +740,12 @@ func (s *Server) runFlight(f *flight, res *resolved) {
 		f.status = http.StatusPartialContent
 		resp.ID = ""
 		s.partials.Add(1)
-		s.rec.Count("serve.partial", 1)
-	} else {
-		evicted := s.store.put(res.id, resp, result.Schedule)
-		if evicted > 0 {
-			s.storeEvictions.Add(int64(evicted))
-			s.rec.Count("serve.store.evictions", float64(evicted))
-		}
-	}
-	f.resp = resp
-}
-
-// handleReplan is the fault-reactive fast path: it takes the same body
-// as /v1/synthesize plus a mandatory topology_delta, runs the engine's
-// Replan — selective cache invalidation followed by synthesis on the
-// degraded topology — and reports the reuse bookkeeping alongside the
-// schedule. Replans are reactive one-shots: they skip the store-read and
-// coalescing tiers (a fault is news; serving yesterday's answer defeats
-// the point) but still write their result through, so follow-up
-// /v1/synthesize calls with the same delta are store hits.
-func (s *Server) handleReplan(w http.ResponseWriter, r *http.Request) {
-	sp := s.rec.StartSpan("http.replan")
-	defer sp.End()
-	s.requests.Add(1)
-	s.rec.Count("serve.requests", 1)
-	rr := requestRecordFrom(r.Context())
-
-	fail := func(aerr *APIError) {
-		s.errs.Add(1)
-		s.rec.Count("serve.errors", 1)
-		sp.SetStr("error", aerr.Code)
-		if rr != nil {
-			rr.Error = aerr.Code
-		}
-		writeAPIError(w, aerr)
-	}
-
-	if s.draining.Load() {
-		fail(apiErrorf(http.StatusServiceUnavailable, CodeDraining, "server is draining"))
-		return
-	}
-	req, aerr := DecodeRequest(r.Body, s.opts.MaxBodyBytes)
-	if aerr != nil {
-		fail(aerr)
-		return
-	}
-	if strings.TrimSpace(req.TopologyDelta) == "" {
-		fail(apiErrorf(http.StatusBadRequest, CodeBadDelta, "missing required field %q", "topology_delta"))
-		return
-	}
-	res, aerr := s.resolve(req)
-	if aerr != nil {
-		fail(aerr)
-		return
-	}
-	sp.SetStr("topology", res.top.Name)
-	sp.SetStr("collective", res.col.Kind.String())
-	if rr != nil {
-		rr.Topology = strings.ToLower(res.req.Topology)
-		rr.Collective = strings.ToLower(res.col.Kind.String())
-		rr.PlanKey = res.id
-	}
-
-	queued := time.Now()
-	if err := s.adm.acquire(r.Context()); err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.rejections.Add(1)
-			s.rec.Count("serve.queue.rejections", 1)
-			_, nq := s.adm.load()
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterHint(s.opts.RetryAfter, nq, s.opts.Concurrency)))
-			fail(apiErrorf(http.StatusTooManyRequests, CodeQueueFull,
-				"admission queue full (%d solves running, %d queued); retry later",
-				s.opts.Concurrency, s.opts.QueueDepth))
-		} else {
-			fail(apiErrorf(http.StatusServiceUnavailable, CodeDeadline, "request abandoned while queued"))
-		}
-		return
-	}
-	defer s.adm.release()
-	s.met.queueWait.Observe(time.Since(queued).Seconds())
-
-	ctx := r.Context()
-	if res.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, res.timeout)
-		defer cancel()
-	}
-	psp := s.rec.StartSpan("serve.replan")
-	psp.SetStr("key", res.id)
-	solveStart := time.Now()
-	rres, err := s.eng.Replan(ctx, res.base, res.delta, res.col, res.opts)
-	solve := time.Since(solveStart)
-	psp.End()
-	s.met.solveDur.With(strings.ToLower(res.col.Kind.String()), strings.ToLower(res.req.Topology)).Observe(solve.Seconds())
-	if rr != nil {
-		rr.SolveUS = float64(solve) / float64(time.Microsecond)
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			fail(apiErrorf(http.StatusGatewayTimeout, CodeDeadline,
-				"deadline expired before any candidate completed"))
-		} else {
-			fail(apiErrorf(http.StatusInternalServerError, CodeInternal, "replan failed: %v", err))
-		}
-		return
-	}
-
-	resp := s.buildResponse(res, rres.Result)
-	resp.Replan = &ReplanJSON{
-		Delta:         res.delta.String(),
-		TouchedGroups: rres.TouchedGroups,
-		TotalGroups:   rres.TotalGroups,
-		Invalidated:   rres.Invalidated,
-		ReusedSubs:    rres.ReusedSubs,
-		SolvedSubs:    rres.SolvedSubs,
-		ReuseRatio:    rres.ReuseRatio(),
-	}
-	status := http.StatusOK
-	if rres.Partial {
-		status = http.StatusPartialContent
-		resp.ID = ""
-		s.partials.Add(1)
-		s.rec.Count("serve.partial", 1)
 	} else {
 		stored := resp
 		stored.Replan = nil // the store serves plain synthesize responses
-		if evicted := s.store.put(res.id, stored, rres.Schedule); evicted > 0 {
-			s.storeEvictions.Add(int64(evicted))
-			s.rec.Count("serve.store.evictions", float64(evicted))
-		}
+		s.store.put(res.id, stored, result.Schedule)
 	}
-	if res.req.IncludeSchedule {
-		resp.Schedule = ToScheduleJSON(rres.Schedule)
-	}
-	if rr != nil {
-		rr.Partial = resp.Partial
-	}
-	writeJSON(w, status, resp)
+	f.resp = resp
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {

@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 
+	"syccl/internal/lru"
 	"syccl/internal/schedule"
 )
 
@@ -12,58 +12,38 @@ type storeEntry struct {
 	id    string
 	resp  SynthesizeResponse // base response (no per-request flags)
 	sched *schedule.Schedule
-	elem  *list.Element
 }
 
 // scheduleStore is the LRU of completed results, keyed by schedule id.
 // Partial results are never stored: a warm hit must always be the full
 // pipeline's answer, not whatever a tight deadline happened to salvage.
 type scheduleStore struct {
-	mu      sync.Mutex
-	entries map[string]*storeEntry
-	lru     *list.List // front = most recently used
-	cap     int
+	mu  sync.Mutex
+	lru *lru.Cache[string, *storeEntry]
 }
 
-func newScheduleStore(cap int) *scheduleStore {
-	if cap <= 0 {
-		cap = DefaultStoreEntries
-	}
-	return &scheduleStore{entries: make(map[string]*storeEntry), lru: list.New(), cap: cap}
+// newScheduleStore builds a store of at most cap entries; onEvict runs
+// once per entry evicted to make room.
+func newScheduleStore(cap int, onEvict func()) *scheduleStore {
+	return &scheduleStore{lru: lru.New(cap, func(string, *storeEntry) { onEvict() })}
 }
 
 func (st *scheduleStore) get(id string) (*storeEntry, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	ent, ok := st.entries[id]
-	if !ok {
-		return nil, false
-	}
-	st.lru.MoveToFront(ent.elem)
-	return ent, true
+	return st.lru.Get(id)
 }
 
 // put inserts a result; the first write for an id wins so stored results
-// stay stable under concurrent duplicate solves. It reports how many
-// entries were evicted to make room.
-func (st *scheduleStore) put(id string, resp SynthesizeResponse, sched *schedule.Schedule) (evicted int) {
+// stay stable under concurrent duplicate solves. A duplicate is caught
+// before the schedule is cloned.
+func (st *scheduleStore) put(id string, resp SynthesizeResponse, sched *schedule.Schedule) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if ent, ok := st.entries[id]; ok {
-		st.lru.MoveToFront(ent.elem)
-		return 0
+	if _, ok := st.lru.Get(id); ok {
+		return
 	}
-	ent := &storeEntry{id: id, resp: resp, sched: sched.Clone()}
-	ent.elem = st.lru.PushFront(ent)
-	st.entries[id] = ent
-	for st.lru.Len() > st.cap {
-		back := st.lru.Back()
-		victim := back.Value.(*storeEntry)
-		st.lru.Remove(back)
-		delete(st.entries, victim.id)
-		evicted++
-	}
-	return evicted
+	st.lru.Add(id, &storeEntry{id: id, resp: resp, sched: sched.Clone()})
 }
 
 func (st *scheduleStore) len() int {
@@ -79,8 +59,6 @@ func (st *scheduleStore) export() []*storeEntry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make([]*storeEntry, 0, st.lru.Len())
-	for e := st.lru.Back(); e != nil; e = e.Prev() {
-		out = append(out, e.Value.(*storeEntry))
-	}
+	st.lru.Walk(func(_ string, ent *storeEntry) { out = append(out, ent) })
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http"
 )
 
 // NDJSONContentType is the Content-Type of streaming synthesis
@@ -86,36 +85,4 @@ func ParseStreamEvent(line []byte) (*StreamEvent, error) {
 		return nil, fmt.Errorf("serve: unknown stream event %q", ev.Event)
 	}
 	return ev, nil
-}
-
-// streamWriter emits NDJSON events and flushes each one immediately so
-// clients see incumbents as they are found, not when the response
-// buffer happens to fill.
-type streamWriter struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	enc     *json.Encoder
-	started bool
-}
-
-func newStreamWriter(w http.ResponseWriter) *streamWriter {
-	sw := &streamWriter{w: w, enc: json.NewEncoder(w)}
-	sw.flusher, _ = w.(http.Flusher)
-	return sw
-}
-
-// emit writes one event line. The first emit commits the 200 status and
-// the NDJSON content type — streaming responses are always HTTP 200;
-// failures after that point arrive as a terminal error event.
-func (sw *streamWriter) emit(ev StreamEvent) {
-	if !sw.started {
-		sw.started = true
-		sw.w.Header().Set("Content-Type", NDJSONContentType)
-		sw.w.WriteHeader(http.StatusOK)
-	}
-	// Encode appends the newline that delimits NDJSON records.
-	_ = sw.enc.Encode(ev)
-	if sw.flusher != nil {
-		sw.flusher.Flush()
-	}
 }

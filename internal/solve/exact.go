@@ -140,7 +140,7 @@ func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*Sub
 		}
 		hs := sp.Child("milp.horizon")
 		hs.SetInt("T", int64(T))
-		sched, nodes, pivots, err := solveHorizon(ctx, d, tau, T, maxBinaries, remain, maxNodes, pivotsLeft, opts.MILPWorkers, hs)
+		sched, nodes, pivots, err := solveHorizon(ctx, d, tau, T, maxBinaries, remain, maxNodes, pivotsLeft, hs)
 		hs.End()
 		nodesLeft -= nodes
 		pivotsLeft -= pivots
@@ -163,7 +163,7 @@ func exactSolve(ctx context.Context, d *Demand, tau float64, opts Options) (*Sub
 // the caller can charge them against its total budget. The span
 // (nil-safe) receives the MILP's size, node count, and simplex pivot
 // totals.
-func solveHorizon(ctx context.Context, d *Demand, tau float64, T, maxBinaries int, budget time.Duration, maxNodes, maxPivots, workers int, sp *obs.Span) (*SubSchedule, int, int, error) {
+func solveHorizon(ctx context.Context, d *Demand, tau float64, T, maxBinaries int, budget time.Duration, maxNodes, maxPivots int, sp *obs.Span) (*SubSchedule, int, int, error) {
 	n := d.NumGPUs
 	type key struct{ p, i, j, t int }
 	varOf := make(map[key]int)
@@ -304,7 +304,7 @@ func solveHorizon(ctx context.Context, d *Demand, tau float64, T, maxBinaries in
 		}
 	}
 
-	sol, err := milp.SolveCtx(ctx, prob, milp.Options{TimeLimit: budget, MaxNodes: maxNodes, MaxLPIters: maxPivots, Workers: workers})
+	sol, err := milp.SolveCtx(ctx, prob, milp.Options{TimeLimit: budget, MaxNodes: maxNodes, MaxLPIters: maxPivots})
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("solve: horizon %d: %w", T, err)
 	}

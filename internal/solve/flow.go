@@ -293,16 +293,23 @@ func flowSolve(ctx context.Context, d *Demand, tau float64, opts Options) *SubSc
 	defer sp.End()
 
 	best := greedySolve(d, tau, nil)
-	if outflow, pivots, err := flowWeights(ctx, d, tau); err == nil {
-		sp.Count("lp.pivots", float64(pivots))
-		if s := greedyWeighted(d, tau, outflow); s.Epochs < best.Epochs {
+	// As in exactSolve, greedy meeting the closed-form floor is optimal.
+	// The guided pass and the restarts replace it only when strictly
+	// shorter, so skipping them leaves the result unchanged.
+	if best.Epochs <= lowerBoundEpochs(d, tau) {
+		sp.SetStr("outcome", "greedy-optimal")
+	} else {
+		if outflow, pivots, err := flowWeights(ctx, d, tau); err == nil {
+			sp.Count("lp.pivots", float64(pivots))
+			if s := greedyWeighted(d, tau, outflow); s.Epochs < best.Epochs {
+				best = s
+			}
+		} else {
+			sp.SetStr("lp", err.Error())
+		}
+		if s := improveSolve(d, tau, opts.Seed, opts.Restarts); s.Epochs < best.Epochs {
 			best = s
 		}
-	} else {
-		sp.SetStr("lp", err.Error())
-	}
-	if s := improveSolve(d, tau, opts.Seed, opts.Restarts); s.Epochs < best.Epochs {
-		best = s
 	}
 	sp.SetInt("epochs", int64(best.Epochs))
 	out := *best

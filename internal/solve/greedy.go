@@ -28,10 +28,16 @@ func greedyWeighted(d *Demand, tau float64, weights [][]int) *SubSchedule {
 func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubSchedule {
 	n := d.NumGPUs
 	// avail[p][g]: epoch at which g can forward piece p; -1 = never (yet).
+	// holders[p] lists the GPUs with avail ≥ 0 and needy[p] the
+	// destinations still owed p, both ascending, so the candidate scan
+	// visits (piece, dst, src) in index order without testing every pair.
 	avail := make([][]int, len(d.Pieces))
-	needed := make([][]bool, len(d.Pieces))
+	holders := make([][]int, len(d.Pieces))
+	needy := make([][]int, len(d.Pieces))
+	params := make([]epochParams, len(d.Pieces))
 	remaining := 0
 	for pi, p := range d.Pieces {
+		params[pi] = paramsFor(d, tau, p.Bytes)
 		avail[pi] = make([]int, n)
 		for g := range avail[pi] {
 			avail[pi][g] = -1
@@ -39,41 +45,52 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 		for _, s := range p.Srcs {
 			avail[pi][s] = 0
 		}
-		needed[pi] = make([]bool, n)
+		needed := make([]bool, n)
 		for _, t := range p.Dsts {
-			if !needed[pi][t] {
-				needed[pi][t] = true
-				remaining++
+			needed[t] = true
+		}
+		for g := 0; g < n; g++ {
+			if avail[pi][g] >= 0 {
+				holders[pi] = append(holders[pi], g)
+			}
+			if needed[g] {
+				needy[pi] = append(needy[pi], g)
 			}
 		}
+		remaining += len(needy[pi])
 	}
 
 	// Port reservations: for each GPU and direction, busy [start, end)
-	// intervals in epochs. Group sub-demands are small, so linear scans
-	// are fine.
+	// intervals in epochs, kept sorted by start. Reservations are made
+	// only where the port is free and spans are at least one epoch, so
+	// the intervals never overlap and are sorted by end as well.
 	type interval struct{ start, end int }
 	egress := make([][]interval, n)
 	ingress := make([][]interval, n)
 
+	// earliestFree returns the first t ≥ from at which [t, t+span) is
+	// clear of every busy interval, in one pass over the sorted list.
 	earliestFree := func(busy []interval, from, span int) int {
 		t := from
-		for {
-			ok := true
-			for _, iv := range busy {
-				if t < iv.end && t+span > iv.start {
-					t = iv.end
-					ok = false
-					break
-				}
+		for _, iv := range busy {
+			if iv.start >= t+span {
+				break
 			}
-			if ok {
-				return t
+			if t < iv.end {
+				t = iv.end
 			}
 		}
+		return t
 	}
 	reserve := func(busy *[]interval, start, span int) {
-		*busy = append(*busy, interval{start, start + span})
-		sort.Slice(*busy, func(a, b int) bool { return (*busy)[a].start < (*busy)[b].start })
+		b := append(*busy, interval{})
+		i := len(b) - 1
+		for i > 0 && b[i-1].start > start {
+			b[i] = b[i-1]
+			i--
+		}
+		b[i] = interval{start, start + span}
+		*busy = b
 	}
 
 	out := &SubSchedule{Tau: tau, Engine: "greedy"}
@@ -112,18 +129,26 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 		return a.dst < b.dst
 	}
 
+	// A send arrives no earlier than avail+lat, so a candidate whose
+	// bound already trails the current best (by more than the one-epoch
+	// near-tie window when randomizing) is skipped unexamined.
+	slack := 0
+	if rng != nil {
+		slack = 1
+	}
+	var nearBest []cand
 	for remaining > 0 {
 		found := false
 		var best cand
-		var nearBest []cand
-		for pi, p := range d.Pieces {
-			ep := paramsFor(d, tau, p.Bytes)
-			for dst := 0; dst < n; dst++ {
-				if !needed[pi][dst] {
-					continue
-				}
-				for src := 0; src < n; src++ {
-					if avail[pi][src] < 0 || src == dst {
+		nearBest = nearBest[:0]
+		for pi := range d.Pieces {
+			ep := params[pi]
+			for _, dst := range needy[pi] {
+				for _, src := range holders[pi] {
+					if src == dst {
+						continue
+					}
+					if found && avail[pi][src]+ep.lat > best.arrive+slack {
 						continue
 					}
 					// Earliest epoch where both ports are free for span.
@@ -138,11 +163,13 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 						start = s2
 					}
 					c := cand{pi, src, dst, start, start + ep.lat}
-					if !found || less(c, best, n) {
+					if !found || c.arrive < best.arrive || (c.arrive == best.arrive && less(c, best, n)) {
 						found = true
 						best = c
 					}
-					if rng != nil {
+					// A candidate arriving more than one epoch after
+					// the current best cannot be near the final best.
+					if rng != nil && c.arrive <= best.arrive+1 {
 						nearBest = append(nearBest, c)
 					}
 				}
@@ -161,12 +188,14 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 			}
 			choice = nearBest[rng.Intn(k)]
 		}
-		p := d.Pieces[choice.piece]
-		ep := paramsFor(d, tau, p.Bytes)
+		ep := params[choice.piece]
 		reserve(&egress[choice.src], choice.start, ep.span)
 		reserve(&ingress[choice.dst], choice.start, ep.span)
+		if avail[choice.piece][choice.dst] < 0 {
+			holders[choice.piece] = insertSorted(holders[choice.piece], choice.dst)
+		}
 		avail[choice.piece][choice.dst] = choice.arrive
-		needed[choice.piece][choice.dst] = false
+		needy[choice.piece] = removeSorted(needy[choice.piece], choice.dst)
 		remaining--
 		out.Transfers = append(out.Transfers, Transfer{
 			Src: choice.src, Dst: choice.dst, Piece: choice.piece,
@@ -178,6 +207,22 @@ func greedyGuided(d *Demand, tau float64, rng *rand.Rand, weights [][]int) *SubS
 	}
 	sort.SliceStable(out.Transfers, func(a, b int) bool { return out.Transfers[a].Start < out.Transfers[b].Start })
 	return out
+}
+
+// insertSorted inserts v into the ascending slice xs.
+func insertSorted(xs []int, v int) []int {
+	i := sort.SearchInts(xs, v)
+	xs = append(xs, 0)
+	copy(xs[i+1:], xs[i:])
+	xs[i] = v
+	return xs
+}
+
+// removeSorted deletes v, which must be present, from the ascending
+// slice xs.
+func removeSorted(xs []int, v int) []int {
+	i := sort.SearchInts(xs, v)
+	return append(xs[:i], xs[i+1:]...)
 }
 
 // improveSolve runs randomized greedy restarts and keeps the best

@@ -70,9 +70,6 @@ type Options struct {
 	Seed int64
 	// Restarts is the randomized restart count (default 16).
 	Restarts int
-	// MILPWorkers is the branch-and-bound worker count of the exact
-	// engine (default 1; results are deterministic across counts).
-	MILPWorkers int
 	// DisableFlowBound turns off the flow-relaxation lower bound inside
 	// the exact engine (core's SolverExact mode, ablations). It changes
 	// which horizons the search proves infeasible via budget-free LP

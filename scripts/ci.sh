@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: formatting, vet, build, the full test suite, a race-detector
-# shard over the concurrency-heavy packages, and a short native-fuzzing
-# smoke over internal/verify. Run from anywhere; operates on the
-# repository root. FUZZTIME (default 10s) bounds each fuzz target.
+# shard over the concurrency-heavy packages, repeated determinism tests,
+# and a short native-fuzzing smoke over internal/verify. Run from
+# anywhere; operates on the repository root. FUZZTIME (default 10s)
+# bounds each fuzz target.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +28,10 @@ go test ./...
 
 echo "== go test -race (core/engine/milp/obs/persist/serve/sim/solve/verify shard) =="
 go test -race ./internal/core/ ./internal/engine/ ./internal/milp/ ./internal/obs/ ./internal/persist/ ./internal/serve/ ./internal/sim/ ./internal/solve/ ./internal/verify/
+
+echo "== determinism repeats (core/milp, -race -count=3) =="
+# An order-dependent result shows up here rather than as a rare flake.
+go test -race -count=3 -run 'Determinis' ./internal/core/ ./internal/milp/
 
 echo "== fuzz smoke ($FUZZTIME per target) =="
 go test ./internal/verify/ -run='^$' -fuzz='^FuzzValidate$' -fuzztime="$FUZZTIME"
